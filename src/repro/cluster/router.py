@@ -50,6 +50,10 @@ already solved it.  What the router adds:
   mining passes; ``GET /v1/traces`` and ``GET /v1/debug/slow`` fan out
   and merge the fleet's trace lists and flight-recorder captures.
 
+Request handling (bounded bodies, read timeout, single-write responses,
+metrics) is the request layer shared with the workers,
+:mod:`repro.wire`.
+
 Append routing: ``POST /v1/transactions`` routes by a *stable* key (not
 the fingerprint — which the append itself changes) so one worker keeps
 the hot delta-fold chain of PR 8, and the batch reaches every other
@@ -63,9 +67,9 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from repro.cluster.hashring import rank_workers
 from repro.cluster.metrics import merge_expositions
@@ -74,7 +78,6 @@ from repro.obs.distributed import (
     TraceContext,
     TraceStore,
     new_trace_context,
-    parse_traceparent,
     span_node,
 )
 from repro.obs.logs import get_logger
@@ -83,6 +86,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
 )
+from repro.wire import JsonRequestHandler
 
 logger = get_logger(__name__)
 
@@ -125,6 +129,15 @@ def _canonical_query(text: str) -> str:
         return canonicalize(text)
     except Exception:  # noqa: BLE001 — any parse problem routes on raw text
         return text
+
+
+def _json_object(raw: bytes) -> Optional[Dict]:
+    """``raw`` as a JSON object, or ``None``."""
+    try:
+        document = json.loads(raw.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    return document if isinstance(document, dict) else None
 
 
 class ClusterRouter(ThreadingHTTPServer):
@@ -423,11 +436,7 @@ class ClusterRouter(ThreadingHTTPServer):
         except OSError:
             self.fleet.note_failure(worker.worker_id)
             return None, None
-        try:
-            document = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return status, None
-        return status, document if isinstance(document, dict) else None
+        return status, _json_object(payload)
 
     def fleet_trace(self, trace_id: str) -> Optional[Dict[str, object]]:
         """One connected trace: router hop + the owning worker's subtree.
@@ -525,196 +534,96 @@ class ClusterRouter(ThreadingHTTPServer):
         return {"service": "repro-cluster-router", "workers": workers, "entries": entries}
 
 
-class RouterRequestHandler(BaseHTTPRequestHandler):
+class RouterRequestHandler(JsonRequestHandler):
     """Routes the public ``/v1`` API onto the worker fleet."""
 
     server: ClusterRouter
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    # -- plumbing -------------------------------------------------------
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            if name.lower() == "content-type":
-                continue
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self, status: int, payload: Dict, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        self._send(
-            status, json.dumps(payload).encode("utf-8"), headers=headers
-        )
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
-    def _job_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        if len(parts) == 3 and parts[0] == "v1" and parts[1] == "jobs":
-            return parts[2]
-        return None
-
-    def _trace_path_id(self) -> Optional[str]:
-        parts = [p for p in self.path.split("?", 1)[0].split("/") if p]
-        if len(parts) == 3 and parts[0] == "v1" and parts[1] == "traces":
-            return parts[2]
-        return None
-
-    def _query_params(self) -> Dict[str, str]:
-        query = self.path.split("?", 1)[1] if "?" in self.path else ""
-        return {
-            name: values[-1] for name, values in parse_qs(query).items()
-        }
-
-    def _route_label(self) -> str:
-        path = self.path.split("?", 1)[0]
-        if self._job_path_id() is not None:
-            return "/v1/jobs/{id}"
-        if self._trace_path_id() is not None:
-            return "/v1/traces/{id}"
-        if path in (
-            "/v1/status",
-            "/v1/metrics",
-            "/v1/query",
-            "/v1/transactions",
-            "/v1/cache/invalidate",
-            "/v1/traces",
-            "/v1/debug/slow",
-        ):
-            return path
-        return "(unknown)"
-
-    def _instrumented(self, handler) -> None:
-        route = self._route_label()
-        self._status = 0
-        self._trace_id: Optional[str] = None
-        started = time.perf_counter()
-        try:
-            handler()
-        finally:
-            self.server.m_requests.inc(route=route, status=str(self._status))
-            exemplar = (
-                {"trace_id": self._trace_id} if self._trace_id else None
-            )
-            self.server.m_request_seconds.observe(
-                time.perf_counter() - started, exemplar=exemplar, route=route
-            )
 
     # -- verbs ----------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        self._instrumented(self._handle_get)
+        self.dispatch(self._handle_get)
 
     def do_DELETE(self) -> None:  # noqa: N802
-        self._instrumented(self._handle_delete)
+        self.dispatch(self._handle_delete)
 
     def do_POST(self) -> None:  # noqa: N802
-        self._instrumented(self._handle_post)
+        self.dispatch(self._handle_post)
 
     # -- control plane --------------------------------------------------
 
     def _handle_get(self) -> None:
-        path = self.path.split("?", 1)[0]
+        path = self.route_path
         if path == "/v1/status":
-            self._send_json(200, self.server.status_document())
+            self.send_json(200, self.server.status_document())
             return
         if path == "/v1/metrics":
             try:
                 text = self.server.merged_metrics()
             except ValueError as error:
-                self._send_json(502, {"error": f"metrics merge failed: {error}"})
+                self.send_json(502, {"error": f"metrics merge failed: {error}"})
                 return
-            self._send(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
+            self.send_body(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
             return
-        trace_id = self._trace_path_id()
+        trace_id = self.path_id("traces")
         if trace_id is not None:
             document = self.server.fleet_trace(trace_id)
             if document is None:
-                self._send_json(404, {"error": f"no such trace: {trace_id}"})
+                self.send_json(404, {"error": f"no such trace: {trace_id}"})
             else:
-                self._send_json(200, document)
+                self.send_json(200, document)
             return
         if path == "/v1/traces":
-            params = self._query_params()
+            params = self.query_params()
             try:
                 min_ms = float(params.get("min_ms", 0.0))
                 limit = int(params.get("limit", 50))
             except (TypeError, ValueError) as error:
-                self._send_json(400, {"error": f"bad query parameter: {error}"})
+                self.send_json(400, {"error": f"bad query parameter: {error}"})
                 return
-            self._send_json(
+            self.send_json(
                 200,
                 {"traces": self.server.fleet_traces(min_ms=min_ms, limit=limit)},
             )
             return
         if path == "/v1/debug/slow":
-            self._send_json(200, self.server.fleet_slow())
+            self.send_json(200, self.server.fleet_slow())
             return
-        job_id = self._job_path_id()
+        job_id = self.path_id("jobs")
         if job_id is not None:
             self._proxy_job(job_id, "GET")
             return
-        self._send_json(404, {"error": f"unknown path {path!r}"})
+        self.send_json(404, {"error": f"unknown path {path!r}"})
 
     def _handle_delete(self) -> None:
-        job_id = self._job_path_id()
+        job_id = self.path_id("jobs")
         if job_id is None:
-            self._send_json(404, {"error": f"unknown path {self.path!r}"})
+            self.send_json(404, {"error": f"unknown path {self.path!r}"})
             return
         self._proxy_job(job_id, "DELETE")
 
     # -- data plane -----------------------------------------------------
 
     def _handle_post(self) -> None:
-        path = self.path.split("?", 1)[0]
+        path = self.route_path
         if path == "/v1/cache/invalidate":
             self._handle_invalidate()
             return
         if path not in ("/v1/query", "/v1/transactions"):
-            self._send_json(404, {"error": f"unknown path {path!r}"})
+            self.send_json(404, {"error": f"unknown path {path!r}"})
             return
         if self.server.draining:
-            self._send_json(
-                503,
-                {"error": "cluster is draining for shutdown"},
-                headers={
-                    "Retry-After": str(
-                        max(1, int(round(self.server.drain_retry_after)))
-                    )
-                },
+            self.send_unavailable(
+                "cluster is draining for shutdown", self.server.drain_retry_after
             )
             return
-        body = self._read_body()
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as error:
-            self._send_json(400, {"error": f"invalid JSON body: {error}"})
-            return
+        body = self.read_body()
+        payload = self.parse_json(body)
         tenant = self.headers.get("X-Tenant")
         decision = self.server.quotas.admit(tenant)
         if not decision.admitted:
             self.server.m_quota_rejected.inc(tenant=decision.tenant)
-            self._send_json(
+            self.send_json(
                 429,
                 {
                     "error": (
@@ -747,11 +656,8 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         # router's context is forwarded to the worker, which joins the
         # same trace id — an invalid incoming header restarts the trace
         # rather than erroring (per the W3C processing model).
-        context: Optional[TraceContext] = None
-        parent = parse_traceparent(self.headers.get("traceparent"))
-        if parent is not None:
-            context = parent.child()
-        elif payload.get("trace"):
+        context = self.incoming_trace()
+        if context is None and payload.get("trace"):
             context = new_trace_context()
         trace_headers = (
             {"traceparent": context.to_traceparent()}
@@ -772,7 +678,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         if status is None:
             return
         served_by = headers.get("X-Repro-Worker")
-        document = self._maybe_json(response)
+        document = _json_object(response)
         job_id: Optional[str] = None
         if document is not None:
             job_id = (
@@ -783,7 +689,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             if job_id and served_by:
                 self.server.record_job(job_id, served_by)
         if context is not None:
-            self._trace_id = context.trace_id
+            self.trace_id = context.trace_id
             self.server.record_router_trace(
                 context,
                 route="/v1/query",
@@ -800,7 +706,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                 old = result.get("old_fingerprint")
                 if isinstance(old, str) and old:
                     self.server.fan_out_invalidation(old, except_worker=served_by)
-        self._send(status, response, headers=headers)
+        self.send_body(status, response, headers=headers)
 
     def _proxy_append(self, payload: Dict, body: bytes) -> None:
         # Appends route on a stable per-store key (NOT the fingerprint,
@@ -818,7 +724,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         )
         if status is None:
             return
-        document = self._maybe_json(response)
+        document = _json_object(response)
         if document is not None and document.get("applied"):
             served_by = headers.get("X-Repro-Worker")
             old = document.get("old_fingerprint")
@@ -826,20 +732,15 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             self.server.note_fingerprint(new if isinstance(new, str) else None)
             if isinstance(old, str) and old and old != new:
                 self.server.fan_out_invalidation(old, except_worker=served_by)
-        self._send(status, response, headers=headers)
+        self.send_body(status, response, headers=headers)
 
     def _handle_invalidate(self) -> None:
-        body = self._read_body()
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            fingerprint = payload.get("fingerprint")
-            if not isinstance(fingerprint, str) or not fingerprint.strip():
-                raise ValueError('missing required string field "fingerprint"')
-        except (ValueError, UnicodeDecodeError) as error:
-            self._send_json(400, {"error": str(error)})
+        fingerprint = self.read_json().get("fingerprint")
+        if not isinstance(fingerprint, str) or not fingerprint.strip():
+            self.send_json(400, {"error": 'missing required string field "fingerprint"'})
             return
         reached = self.server.fan_out_invalidation(fingerprint)
-        self._send_json(
+        self.send_json(
             200, {"fingerprint": fingerprint, "workers_reached": reached}
         )
 
@@ -865,11 +766,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             else:
                 owner_down = True
         if not candidates:
-            self._send_json(
-                503,
-                {"error": "no healthy workers"},
-                headers={"Retry-After": "1"},
-            )
+            self.send_unavailable("no healthy workers")
             return
         attempted = False
         for index, worker in enumerate(candidates):
@@ -895,23 +792,16 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                 # Only the owner's 404 is authoritative — any other
                 # worker has simply never heard of the job; keep looking.
                 continue
-            self._send(status, response, headers=headers)
+            self.send_body(status, response, headers=headers)
             return
         if owner_down or not attempted:
-            self._send_json(
-                503,
-                {
-                    "error": (
-                        f"job {job_id!r} is owned by a worker that is "
-                        f"restarting; retry shortly"
-                    )
-                },
-                headers={
-                    "Retry-After": str(OWNER_RESTART_RETRY_AFTER)
-                },
+            self.send_unavailable(
+                f"job {job_id!r} is owned by a worker that is restarting; "
+                "retry shortly",
+                OWNER_RESTART_RETRY_AFTER,
             )
             return
-        self._send_json(404, {"error": f"no such job: {job_id}"})
+        self.send_json(404, {"error": f"no such job: {job_id}"})
 
     def _proxy_with_failover(
         self,
@@ -931,11 +821,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         """
         candidates = self.server.preference(key)
         if not candidates:
-            self._send_json(
-                503,
-                {"error": "no healthy workers"},
-                headers={"Retry-After": "1"},
-            )
+            self.send_unavailable("no healthy workers")
             return None, {}, b""
         for index, worker in enumerate(candidates):
             if index:
@@ -953,7 +839,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                     error,
                 )
                 if not idempotent:
-                    self._send_json(
+                    self.send_json(
                         502,
                         {
                             "error": (
@@ -964,20 +850,8 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
                         },
                     )
                     return None, {}, b""
-        self._send_json(
-            503,
-            {"error": "all workers failed; fleet is restarting"},
-            headers={"Retry-After": "1"},
-        )
+        self.send_unavailable("all workers failed; fleet is restarting")
         return None, {}, b""
-
-    @staticmethod
-    def _maybe_json(response: bytes) -> Optional[Dict]:
-        try:
-            document = json.loads(response.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        return document if isinstance(document, dict) else None
 
 
 def start_router(

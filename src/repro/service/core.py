@@ -574,25 +574,31 @@ class MiningService:
         instead of admitting a duplicate (the key is also journaled, so
         the guarantee spans a crash-restart).
         """
+        parsed = self._parse(statement)
         return self.scheduler.submit(
             statement,
             priority=priority,
             budget=budget,
             trace=trace,
             idempotency_key=idempotency_key,
-            canonical_key=self._canonical_key(statement),
+            canonical_key=parsed[1] if parsed is not None else None,
+            parsed=parsed,
         )
 
     @staticmethod
-    def _canonical_key(statement: str) -> Optional[str]:
-        """Best-effort canonical TML for the journal row (audit field).
+    def _parse(statement: str) -> Optional[Tuple[Statement, str]]:
+        """``(statement AST, canonical TML)``, or ``None`` if unparseable.
 
-        Unparseable statements still get admitted (the worker reports
-        the parse error as the job failure), so this must never raise.
+        The canonical text is the journal row's audit key, and the pair
+        rides on the job so the worker does not parse again.
+        Unparseable statements still get admitted (the worker re-parses
+        and reports the error as the job failure), so this must never
+        raise.
         """
         try:
-            return canonicalize_statement(parse_statement(statement))
-        except Exception:  # noqa: BLE001 — journal metadata only
+            parsed = parse_statement(statement)
+            return parsed, canonicalize_statement(parsed)
+        except Exception:  # noqa: BLE001 — the worker reports the error
             return None
 
     def run_sync(
@@ -786,6 +792,7 @@ class MiningService:
         token: CancellationToken,
         budget: Optional[RunBudget],
         trace: object = False,
+        parsed: Optional[Tuple[Statement, str]] = None,
     ) -> Tuple[Dict, bool, Optional[Dict]]:
         """The scheduler callback: execute one statement, with attribution.
 
@@ -799,7 +806,9 @@ class MiningService:
         """
         probe = ResourceProbe()
         try:
-            return self._execute_statement(statement_text, token, budget, trace)
+            return self._execute_statement(
+                statement_text, token, budget, trace, parsed
+            )
         finally:
             self._tls.attribution = probe.finish()
 
@@ -809,6 +818,7 @@ class MiningService:
         token: CancellationToken,
         budget: Optional[RunBudget],
         trace: object = False,
+        parsed: Optional[Tuple[Statement, str]] = None,
     ) -> Tuple[Dict, bool, Optional[Dict]]:
         """Execute one statement, maybe cached.
 
@@ -817,14 +827,18 @@ class MiningService:
         happened, so there is no plan to report) and lands on the job
         record rather than in the cacheable payload, keeping cached
         results byte-identical across runs while calibration drifts.
+        ``parsed`` is the admission-time parse; without it (recovered
+        jobs, unparseable text) the statement is parsed here.
         """
-        statement = parse_statement(statement_text)
+        if parsed is None:
+            statement = parse_statement(statement_text)
+            parsed = statement, canonicalize_statement(statement)
+        statement, canonical = parsed
         if isinstance(statement, SESSION_ONLY_STATEMENTS):
             raise TmlExecutionError(
                 "session-level SET statements are not supported over the "
                 "service API; pass a per-request budget instead"
             )
-        canonical = canonicalize_statement(statement)
         # Traced runs bypass the cache in both directions: their payload
         # embeds run-specific timings (never bit-stable), and serving a
         # cached untraced result would silently drop the trace.

@@ -111,6 +111,10 @@ class Job:
     resources: Optional[Dict] = None
     #: The distributed trace id covering this job (traced jobs only).
     trace_id: Optional[str] = None
+    #: The submitter's parse of ``statement``, handed to the execute
+    #: callback so the statement is parsed once per job; ``None`` for
+    #: jobs recovered from the journal (text only).
+    parsed: object = None
     token: CancellationToken = field(default_factory=CancellationToken)
     _done: threading.Event = field(default_factory=threading.Event, repr=False)
 
@@ -158,7 +162,8 @@ class JobScheduler:
     Args:
         execute: ``execute(statement_text, token, budget, trace) ->
             (result, cached, plan)`` — the service core's statement
-            runner.  ``plan`` is the planner's decision dict (``None``
+            runner.  A job submitted with ``parsed`` also passes it as
+            the ``parsed`` keyword.  ``plan`` is the planner's decision dict (``None``
             for cache hits and non-MINE statements) and lands on the
             job record.  It must honour the token cooperatively (PR 1
             semantics) and may raise any
@@ -439,6 +444,7 @@ class JobScheduler:
         trace: object = False,
         idempotency_key: Optional[str] = None,
         canonical_key: Optional[str] = None,
+        parsed: object = None,
     ) -> Job:
         """Admit one job; raises :class:`AdmissionError` when saturated.
 
@@ -491,6 +497,7 @@ class JobScheduler:
                 trace=trace,
                 submitted_at=self._clock(),
                 idempotency_key=idempotency_key,
+                parsed=parsed,
             )
             self._jobs[job.job_id] = job
             if idempotency_key:
@@ -704,8 +711,9 @@ class JobScheduler:
             if job is None:
                 return
             try:
+                extra = {} if job.parsed is None else {"parsed": job.parsed}
                 result, cached, plan = self._execute(
-                    job.statement, job.token, job.budget, job.trace
+                    job.statement, job.token, job.budget, job.trace, **extra
                 )
                 if self._abandoned:
                     return  # simulated process death: record nothing

@@ -89,6 +89,12 @@ def _is_calendar_like(feature) -> bool:
     )
 
 
+#: What a statement may end with, in any mix: ';' terminators and
+#: whitespace (every code point ``str.isspace`` accepts; none lies
+#: above U+3000).
+_TRAILING = ";" + "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
 def split_statements(text: str) -> List[str]:
     """Split source text into ';'-terminated statements.
 
@@ -136,8 +142,8 @@ def parse_script(text: str) -> List[Statement]:
 
 
 def parse_statement(text: str) -> Statement:
-    """Parse exactly one statement (terminating ';' optional)."""
-    stripped = text.strip().rstrip(";").strip()
+    """Parse exactly one statement (terminating ';'s optional)."""
+    stripped = text.rstrip(_TRAILING).strip()
     if not stripped:
         raise TmlParseError("empty statement")
     head = stripped.split(None, 1)[0].upper()

@@ -1,8 +1,11 @@
-"""Property-based tests: every generated TML statement round-trips."""
+"""Property-based tests: every generated TML statement round-trips, and
+fuzzed text either parses to a statement that round-trips or raises the
+TML syntax error."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TmlLexError, TmlParseError
 from repro.temporal import Granularity
 from repro.tml.ast import (
     CalendarFeature,
@@ -18,7 +21,9 @@ from repro.tml.ast import (
     PeriodFeature,
     ShowStatement,
 )
+from repro.tml.canonical import canonicalize_statement
 from repro.tml.parser import parse_script, parse_statement
+from repro.tml.tokens import KEYWORDS
 
 granularities = st.sampled_from(list(Granularity))
 sources = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True).filter(
@@ -162,3 +167,50 @@ def test_render_parse_roundtrip(statement):
 def test_script_roundtrip(script_statements):
     script = "\n".join(s.render() for s in script_statements)
     assert parse_script(script) == script_statements
+
+
+# ----------------------------------------------------------------------
+# fuzzing: arbitrary text and TML token soup
+# ----------------------------------------------------------------------
+
+soup_tokens = st.one_of(
+    st.sampled_from(KEYWORDS),
+    st.sampled_from(KEYWORDS).map(str.lower),
+    st.sampled_from(
+        [";", ",", "(", ")", ">=", "<=", "=", "<", ">", "'", "''", "--", "\n",
+         "0.5", "-1", "1e9", "2025-01-01", "'month=12'", "'it''s'", "month",
+         "day", "week", "transactions", "weekends", "|", ".."]
+    ),
+    item_labels,
+    st.text(max_size=3),
+)
+token_soup = st.lists(soup_tokens, max_size=24).flatmap(
+    lambda tokens: st.lists(
+        st.sampled_from([" ", "  ", "\t", "\n", "", ";", " ; "]),
+        min_size=len(tokens),
+        max_size=len(tokens),
+    ).map(lambda gaps: "".join(t + g for t, g in zip(tokens, gaps)))
+)
+mutated_statements = st.tuples(
+    statements.map(lambda s: s.render()),
+    st.integers(min_value=0, max_value=400),
+    soup_tokens,
+).map(lambda t: t[0][: t[1]] + " " + t[2] + " " + t[0][t[1]:])
+
+#: Statements end in any mix of terminators and whitespace.
+terminator_tails = st.lists(st.sampled_from(" ;\t\n"), max_size=5).map("".join)
+
+fuzzed_text = st.tuples(
+    st.one_of(st.text(), token_soup, mutated_statements), terminator_tails
+).map("".join)
+
+
+@given(fuzzed_text)
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_text_parses_or_raises_syntax_error(text):
+    try:
+        statement = parse_statement(text)
+    except (TmlLexError, TmlParseError):
+        return
+    canonical = canonicalize_statement(statement)
+    assert canonicalize_statement(parse_statement(statement.render())) == canonical

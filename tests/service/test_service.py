@@ -188,6 +188,55 @@ class TestParityAndRejection:
         assert second.cached is False
 
 
+class TestParseOnce:
+    """A submitted statement is parsed once, at admission, not again on
+    the scheduler thread."""
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        import repro.service.core as core
+
+        calls = []
+        original = core.parse_statement
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(core, "parse_statement", counting)
+        return calls
+
+    def test_cold_and_warm_statements_parse_once(self, service, parse_calls):
+        cold = service.run_sync(MINE_QUERY)
+        assert cold.state == "done" and len(parse_calls) == 1
+        warm = service.run_sync(MINE_QUERY)
+        assert warm.cached is True and len(parse_calls) == 2
+
+    def test_job_carries_the_parse(self, service, parse_calls):
+        job = service.run_sync("SHOW SUMMARY;")
+        statement, canonical = job.parsed
+        assert canonical == statement.render() == "SHOW SUMMARY;"
+
+    def test_unparseable_statement_still_admitted_and_fails(
+        self, service, parse_calls
+    ):
+        job = service.run_sync("MINE GIBBERISH FROM nowhere;")
+        assert job.parsed is None
+        assert job.state == "failed" and "GIBBERISH" in job.error
+        # Admission tried once, the worker re-parsed to report the error.
+        assert len(parse_calls) == 2
+
+    def test_text_only_jobs_parse_on_the_worker(self, service, parse_calls):
+        """Recovered jobs reach the execute callback without a parse."""
+        from repro.runtime.budget import CancellationToken
+
+        result, cached, _ = service._execute_job(
+            MINE_QUERY, CancellationToken(), None
+        )
+        assert cached is False and result["n_results"] > 0
+        assert parse_calls == [MINE_QUERY]
+
+
 class TestStatus:
     def test_status_document_shape(self, service):
         document = service.status()

@@ -52,6 +52,24 @@ class TestSqlPassthrough:
         assert "%z%" in statement.sql
 
 
+class TestTerminators:
+    """Every trailing run of ';' and whitespace is one terminator."""
+
+    def test_only_terminators_is_empty(self):
+        with pytest.raises(TmlParseError, match="empty statement"):
+            parse_statement("; ;")
+
+    def test_spaced_terminators_leave_no_semicolon(self):
+        statement = parse_statement("ITEMSETS ; ;")
+        assert statement == SqlStatement(sql="ITEMSETS")
+        assert parse_statement(statement.render()) == statement
+
+    def test_spaced_terminators_after_tml(self):
+        assert parse_statement("SHOW SUMMARY ;\n ;\t;") == parse_statement(
+            "SHOW SUMMARY;"
+        )
+
+
 class TestShow:
     def test_show_summary(self):
         assert parse_statement("SHOW SUMMARY;") == ShowStatement(what="summary")
